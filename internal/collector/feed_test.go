@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -310,4 +311,63 @@ type staleFake struct{ fakeSource }
 func (s *staleFake) Topology() (*Topology, error) { return nil, ErrStaleReplica }
 func (s *staleFake) Utilization(ChannelKey, float64) (stats.Stat, error) {
 	return stats.NoData(), ErrStaleReplica
+}
+
+// TestClockAdvanceConcurrentWithQueries: one goroutine advances
+// virtual time while TCP util and age queries and a feed subscription
+// read it on server goroutines. Under -race it fails on any
+// unsynchronized read of the clock on the query or feed path.
+func TestClockAdvanceConcurrentWithQueries(t *testing.T) {
+	r := feedRig(t)
+	topo, err := r.col.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := topo.Key(topo.Graph.Links()[0], graph.AtoB)
+	srv, err := Serve(r.col, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed, err := cl.Watch(ctx, WatchRequest{Kind: WatchFeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feed.Cancel()
+
+	stop := make(chan struct{})
+	advanced := make(chan struct{})
+	go func() {
+		defer close(advanced)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.clk.Advance(0.5)
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := cl.Utilization(key, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.DataAge(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-advanced
+	for updates := 0; updates < 2; updates++ {
+		if u := recvUpdate(t, feed, 5*time.Second); u.Feed == nil && u.Err == "" {
+			t.Fatalf("feed update without payload: %+v", u)
+		}
+	}
 }

@@ -1,9 +1,7 @@
 package collector
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -11,18 +9,11 @@ import (
 )
 
 // Bounded wire framing for the TCP query protocol. Each message is a
-// 4-byte big-endian length prefix followed by a self-contained gob
-// stream. The explicit prefix exists so both ends can reject an
-// oversized frame *before* allocating or decoding anything: a corrupt
-// or hostile length must cost a bounded read and a typed error, never
-// an unbounded allocation (raw gob will happily try to buffer whatever
-// its own internal length header claims, up to 1 GiB).
-//
-// Every frame is an independent gob stream (type information is resent
-// per frame). That costs a few hundred bytes per message and buys a
-// crucial property: a connection aborted mid-frame — a cancelled call,
-// a killed replica — never poisons decoder state for the next request,
-// so reconnect-and-retry works without resynchronization.
+// 4-byte big-endian length prefix followed by one self-contained
+// payload in the binary encoding of wire.go. The explicit prefix exists
+// so both ends can reject an oversized frame *before* allocating or
+// decoding anything: a corrupt or hostile length must cost a bounded
+// read and a typed error, never an unbounded allocation.
 
 // DefaultMaxFrame bounds one wire frame in bytes. Topology frames for
 // very large domains are the biggest legitimate messages; 4 MiB covers
@@ -34,53 +25,53 @@ const DefaultMaxFrame = 4 << 20
 // prefix) or on write (a response that should never have grown so big).
 var ErrFrameTooLarge = errors.New("collector: wire frame too large")
 
-// maxPooledFrame caps what the buffer pools retain: a rare multi-
+// maxPooledFrame caps what the buffer pool retains: a rare multi-
 // megabyte topology frame must not pin its buffer for the life of the
 // process. Typical measurement frames are well under a kilobyte.
 const maxPooledFrame = 1 << 18
 
-// frameBufPool recycles encode buffers. A busy query server writes one
-// frame per request; the buffer is dead the moment it hits the socket.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// frameBuf is one pooled frame buffer (w.b) with the codec cursors
+// that work on it, so coding a frame allocates nothing of its own. A
+// busy query server reads and writes one frame per request, and each
+// buffer is dead the moment it hits the socket or has been decoded.
+type frameBuf struct {
+	w wireWriter
+	r wireReader
+}
 
-// framePayloadPool recycles read-side payload buffers the same way.
-var framePayloadPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
+var framePool = sync.Pool{New: func() any {
+	return &frameBuf{w: wireWriter{b: make([]byte, 0, 1024)}}
 }}
 
-// writeFrame encodes v as one length-prefixed gob frame on w.
-func writeFrame(w io.Writer, v any, max int) error {
+func putFrameBuf(fb *frameBuf) {
+	if cap(fb.w.b) <= maxPooledFrame {
+		framePool.Put(fb)
+	}
+}
+
+// writeFrame encodes m as one length-prefixed frame on w.
+func writeFrame(w io.Writer, m wireMsg, max int) error {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledFrame {
-			buf.Reset()
-			frameBufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("collector: encoding frame: %w", err)
-	}
-	payload := buf.Len() - 4
+	fb := framePool.Get().(*frameBuf)
+	defer putFrameBuf(fb)
+	fb.w.b = append(fb.w.b[:0], 0, 0, 0, 0, wireVersion) // length placeholder, version
+	m.encodeWire(&fb.w)
+	payload := len(fb.w.b) - 4
 	if payload > max {
 		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, payload, max)
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(payload))
-	_, err := w.Write(b)
+	binary.BigEndian.PutUint32(fb.w.b[:4], uint32(payload))
+	_, err := w.Write(fb.w.b)
 	return err
 }
 
-// readFrame reads one length-prefixed gob frame from r into v,
-// rejecting frames over max bytes without reading (or allocating) their
-// payload. The payload buffer is pooled; gob copies everything it
-// decodes into v, so nothing aliases the buffer after return.
-func readFrame(r io.Reader, v any, max int) error {
+// readFrame reads one length-prefixed frame from r into m, rejecting
+// frames over max bytes without reading (or allocating) their payload.
+// The payload buffer is pooled; the decoder copies everything into m,
+// so nothing aliases the buffer after return.
+func readFrame(r io.Reader, m wireMsg, max int) error {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
@@ -92,43 +83,14 @@ func readFrame(r io.Reader, v any, max int) error {
 	if int64(n) > int64(max) {
 		return fmt.Errorf("%w: prefix claims %d > %d bytes", ErrFrameTooLarge, n, max)
 	}
-	pp := framePayloadPool.Get().(*[]byte)
-	defer func() {
-		if cap(*pp) <= maxPooledFrame {
-			framePayloadPool.Put(pp)
-		}
-	}()
-	if cap(*pp) < int(n) {
-		*pp = make([]byte, n)
+	fb := framePool.Get().(*frameBuf)
+	defer putFrameBuf(fb)
+	if cap(fb.w.b) < int(n) {
+		fb.w.b = make([]byte, n)
 	}
-	payload := (*pp)[:n]
+	payload := fb.w.b[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("collector: decoding frame: %w", err)
-	}
-	return nil
-}
-
-// warmGob runs representative wire values through a throwaway
-// encode/decode round so gob compiles its type engines at package init
-// instead of on the first request of the first connection. Frames stay
-// independent gob streams on the wire — that is what makes
-// reconnect-after-abort safe — but engine compilation is process-global
-// and only needs to happen once.
-func warmGob(vals ...any) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
-			panic(fmt.Sprintf("collector: gob warm-up encode: %v", err))
-		}
-	}
-	dec := gob.NewDecoder(&buf)
-	for _, v := range vals {
-		if err := dec.Decode(v); err != nil {
-			panic(fmt.Sprintf("collector: gob warm-up decode: %v", err))
-		}
-	}
+	return fb.r.frame(payload, m)
 }

@@ -24,9 +24,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameIndependentStreams: each frame is a self-contained gob
-// stream, so a reader can start at any frame boundary — the property
-// that makes reconnect-after-abort safe.
+// TestFrameIndependentStreams: each frame is self-contained (no type
+// information or state carries over from earlier frames), so a reader
+// can start at any frame boundary — the property that makes
+// reconnect-after-abort safe.
 func TestFrameIndependentStreams(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
@@ -96,11 +97,11 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestFrameCorruptPayload: a well-sized but non-gob payload errors
+// TestFrameCorruptPayload: a well-sized payload of garbage errors
 // cleanly.
 func TestFrameCorruptPayload(t *testing.T) {
 	var buf bytes.Buffer
-	payload := []byte("\xff\xfe\xfdnot gob")
+	payload := []byte("\xff\xfe\xfdnot a frame")
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	buf.Write(hdr[:])

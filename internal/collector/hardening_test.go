@@ -74,12 +74,12 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestGarbageFrameDropsOnlyThatConn: a client sending a garbage gob
+// TestGarbageFrameDropsOnlyThatConn: a client sending a garbage
 // frame loses its connection; concurrent well-behaved clients are
 // untouched.
 func TestGarbageFrameDropsOnlyThatConn(t *testing.T) {
-	// A short idle deadline bounds the test even when the garbage looks
-	// to gob like the prefix of an enormous frame.
+	// A short idle deadline bounds the test even when the garbage reads
+	// as the length prefix of a frame that never arrives.
 	srv, err := ServeConfig(&fakeSource{}, "127.0.0.1:0", ServerConfig{
 		IdleTimeout: 200 * time.Millisecond,
 	})
@@ -102,7 +102,7 @@ func TestGarbageFrameDropsOnlyThatConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	if _, err := bad.Write([]byte("\xff\xfe\xfdnot gob at all\x00\x01")); err != nil {
+	if _, err := bad.Write([]byte("\xff\xfe\xfdnot a frame at all\x00\x01")); err != nil {
 		t.Fatal(err)
 	}
 	// The server must drop the garbage connection...
@@ -293,7 +293,7 @@ func TestShutdownForceClosesStragglers(t *testing.T) {
 
 // TestConcurrentClientsNoCrossTalk hammers one server with 10 clients
 // issuing mixed operations and checks every answer against the
-// expected per-query value: interleaved gob streams must never leak a
+// expected per-query value: interleaved streams must never leak a
 // response to the wrong client. Run under -race by `make verify`.
 func TestConcurrentClientsNoCrossTalk(t *testing.T) {
 	r := newRig(t, 2)

@@ -117,10 +117,7 @@ func FuzzDecodeMatrixRequest(f *testing.F) {
 				t.Fatalf("validation accepted an empty side: %+v", req.Matrix)
 			}
 		}
-		// … and an accepted frame must be re-encodable.
-		var out bytes.Buffer
-		if err := writeFrame(&out, &req, 0); err != nil {
-			t.Fatalf("accepted matrix request does not re-encode: %v (%+v)", err, req)
-		}
+		// … and an accepted frame must re-encode to itself.
+		checkReencodes(t, &req)
 	})
 }

@@ -1,32 +1,20 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 	"time"
 
 	"repro/internal/collector"
 )
 
-// encodePayload gob-encodes a feed payload the way the wire does
-// (the payload rides inside a WatchUpdate, but the fuzz target decodes
-// the payload shape directly — that is where apply-side invariants
-// live).
-func encodePayload(t testing.TB, p *collector.FeedPayload) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzDecodeDelta feeds arbitrary bytes through the gob decode + store
-// apply path a replica runs on every feed update. The replica trusts
-// its collector, but a partition can truncate or corrupt a stream
-// mid-frame; whatever arrives, the apply must return an error (which
-// triggers a resync) — never panic, never install a corrupt store.
+// FuzzDecodeDelta feeds arbitrary bytes through the wire decode + store
+// apply path a replica runs on every feed update. The payload rides
+// inside a WatchUpdate on the wire, but the target decodes the payload
+// shape directly: that is where apply-side invariants live. The replica
+// trusts its collector, but a partition can truncate or corrupt a
+// stream mid-frame; whatever arrives, the apply must return an error
+// (which triggers a resync) — never panic, never install a corrupt
+// store.
 func FuzzDecodeDelta(f *testing.F) {
 	// Seed with real payloads: one full snapshot and a couple of
 	// deltas from a live testbed collector.
@@ -36,7 +24,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(encodePayload(f, full))
+	f.Add(collector.EncodeFeedPayload(full))
 	for i := 0; i < 2; i++ {
 		r.clk.Advance(2)
 		d, err := r.col.FeedSince(cur)
@@ -44,13 +32,13 @@ func FuzzDecodeDelta(f *testing.F) {
 			f.Fatal(err)
 		}
 		if d != nil {
-			f.Add(encodePayload(f, d))
+			f.Add(collector.EncodeFeedPayload(d))
 		}
 	}
 	// A hand-rolled hostile payload: out-of-order samples.
 	evil := *full
 	evil.Full = false
-	f.Add(encodePayload(f, &evil))
+	f.Add(collector.EncodeFeedPayload(&evil))
 
 	wall := time.Unix(1000, 0)
 	base, err := applyFull(full, wall)
@@ -59,18 +47,18 @@ func FuzzDecodeDelta(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p collector.FeedPayload
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
+		p, err := collector.DecodeFeedPayload(data)
+		if err != nil {
 			return // corrupt frame: the wire layer would drop it
 		}
 		// Apply as a full snapshot and as a delta against a real
 		// store; errors are fine (they trigger resync), panics and
 		// mutations of the base store are not.
-		if st, err := applyFull(&p, wall); err == nil && st.topo == nil {
+		if st, err := applyFull(p, wall); err == nil && st.topo == nil {
 			t.Fatal("applyFull succeeded without topology")
 		}
 		epochBefore := base.epoch
-		next, err := base.applyDelta(&p, wall)
+		next, err := base.applyDelta(p, wall)
 		if base.epoch != epochBefore {
 			t.Fatal("applyDelta mutated the base store")
 		}

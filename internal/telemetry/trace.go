@@ -12,7 +12,7 @@ import (
 
 // Request tracing. A trace ID is minted once at the remos API edge
 // (core.Modeler's Ctx entry points), rides the context through the
-// Modeler and the collector client, crosses the wire in the gob request
+// Modeler and the collector client, crosses the wire in the request
 // frame next to BudgetMS, and is stamped into span records on both
 // sides. Matching the client's span to the server's by trace ID turns
 // "this query was slow" into "this query waited 40 ms in replica B's
@@ -71,7 +71,7 @@ func EnsureTrace(ctx context.Context) (context.Context, string) {
 // SpanRecord is one finished span: what happened to one request at one
 // layer. Attrs carries the layer-specific details (queue wait,
 // admission verdict, replica tried, error class) as strings so the
-// record crosses gob and JSON without a schema per layer.
+// record crosses the wire and JSON without a schema per layer.
 type SpanRecord struct {
 	Trace    string
 	Name     string

@@ -279,6 +279,15 @@ func TestChaosLeaderFailover(t *testing.T) {
 		_, err := fsrc.Utilization(backbone, 10)
 		return err == nil
 	})
+	// The standby must have applied the feed delta carrying them too:
+	// a standby killed into promotion one delta behind has no window
+	// for the channel until its own second poll round.
+	waitUntil(t, 10*time.Second, "standby holding backbone samples", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		_, err := colB.Utilization(backbone, 10)
+		return err == nil
+	})
 	if term, leader, on := colA.HAStatus(); !on || !leader || term != 1 {
 		t.Fatalf("leader HA status: term=%d leader=%v on=%v", term, leader, on)
 	}

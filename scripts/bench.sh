@@ -11,7 +11,7 @@
 # The root package is run in two passes: experiment-scale benchmarks
 # (tables, figures, studies — each iteration is a full experiment) at
 # ROOT_BENCHTIME (default 1x), and the query-path micro-benchmarks
-# (collector poll, modeler queries, parallel scaling) at
+# (collector poll, modeler queries, parallel scaling, RPC round trips) at
 # MICRO_BENCHTIME (default 50ms) so their ns/op are averages over
 # thousands of iterations rather than one-shot samples.
 #
@@ -34,7 +34,7 @@ ATTEMPTS=${ATTEMPTS:-2}
 
 # Micro-benchmarks: per-op costs small enough that -benchtime 1x would
 # measure noise instead of code.
-MICRO_PAT='BenchmarkCollectorPollRound|BenchmarkModeler|BenchmarkFxIteration|BenchmarkWatchFanout|BenchmarkReplica|BenchmarkFederated'
+MICRO_PAT='BenchmarkCollectorPollRound|BenchmarkModeler|BenchmarkFxIteration|BenchmarkWatchFanout|BenchmarkReplica|BenchmarkFederated|BenchmarkRPC'
 
 COMPARE=0
 BASELINE=BENCH_remos.json
