@@ -254,8 +254,11 @@ func main() {
 		traffic.Blast(net, graphpkg.NodeID(b.src), graphpkg.NodeID(b.dst), b.mbps*1e6)
 		fmt.Printf("traffic: %s -> %s at %.0f Mbps\n", b.src, b.dst, b.mbps)
 	}
-	saveCheckpoint := func() {
-		tmp := *checkpoint + ".tmp"
+	// save writes a checkpoint to path atomically (temp file + rename):
+	// never a half-written file. A history file is the same checkpoint,
+	// read back offline by remos.LoadHistorySource.
+	save := func(path string) error {
+		tmp := path + ".tmp"
 		f, err := os.Create(tmp)
 		if err == nil {
 			err = col.SaveCheckpoint(f)
@@ -263,12 +266,17 @@ func main() {
 				err = cerr
 			}
 			if err == nil {
-				err = os.Rename(tmp, *checkpoint) // atomic: never a half-written checkpoint
+				err = os.Rename(tmp, path)
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing checkpoint: %v\n", err)
 			os.Remove(tmp)
+		}
+		return err
+	}
+	saveCheckpoint := func() {
+		if err := save(*checkpoint); err != nil {
+			fmt.Fprintf(os.Stderr, "writing checkpoint: %v\n", err)
 		}
 	}
 	if *checkpoint != "" && *checkpointEvery > 0 {
@@ -428,14 +436,7 @@ func main() {
 				fmt.Printf("checkpoint saved to %s\n", *checkpoint)
 			}
 			if *history != "" {
-				f, err := os.Create(*history)
-				if err == nil {
-					err = col.SaveHistory(f)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
+				if err := save(*history); err != nil {
 					fmt.Fprintf(os.Stderr, "saving history: %v\n", err)
 				} else {
 					fmt.Printf("history saved to %s\n", *history)

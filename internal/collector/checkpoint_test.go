@@ -3,8 +3,8 @@ package collector
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -20,7 +20,7 @@ import (
 
 // checkpointedRig runs a collector long enough to have real state and
 // returns it plus its serialized checkpoint.
-func checkpointedRig(t *testing.T) (*rig, []byte) {
+func checkpointedRig(t testing.TB) (*rig, []byte) {
 	t.Helper()
 	r := newRig(t, 2)
 	if err := r.col.Start(); err != nil {
@@ -47,7 +47,7 @@ func restoreInto(t *testing.T, ckpt []byte, at float64) *Collector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != CheckpointVersion {
+	if info.Version != wireVersion {
 		t.Fatalf("restored version %d", info.Version)
 	}
 	return col
@@ -212,49 +212,95 @@ func TestWarmStartSkipsDiscovery(t *testing.T) {
 func TestCheckpointRejection(t *testing.T) {
 	_, ckpt := checkpointedRig(t)
 
-	fresh := func() *Collector {
-		clk := simclock.New()
-		return New(Config{Clock: clk, PollPeriod: 2})
-	}
 	expectErr := func(name string, data []byte, wantSub string) {
 		t.Helper()
-		col := fresh()
-		_, err := col.RestoreCheckpoint(bytes.NewReader(data))
-		if err == nil {
+		if _, err := restoreFresh(t, data); err == nil {
 			t.Fatalf("%s: restore succeeded", name)
-		}
-		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
+		} else if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
 			t.Fatalf("%s: error %q lacks %q", name, err, wantSub)
-		}
-		// The failed restore must not have half-applied state.
-		if _, terr := col.Topology(); terr == nil {
-			t.Fatalf("%s: collector has a topology after failed restore", name)
 		}
 	}
 
 	expectErr("empty", nil, "header")
-	expectErr("garbage", []byte("definitely not a gob stream"), "")
+	expectErr("garbage", []byte("definitely not a checkpoint file"), "")
 	for _, frac := range []float64{0.25, 0.5, 0.9} {
 		expectErr("truncated", ckpt[:int(float64(len(ckpt))*frac)], "")
 	}
 
-	var alien bytes.Buffer
-	gob.NewEncoder(&alien).Encode(&checkpointHeader{Magic: "SOMETHING", Version: CheckpointVersion})
-	expectErr("alien magic", alien.Bytes(), "not a collector checkpoint")
+	body := ckpt[len(checkpointMagic):]
+	expectErr("alien magic", append([]byte("SOMETHING!"), body...), "not a collector checkpoint")
+	vnext := append([]byte(checkpointMagic), wireVersion+1)
+	expectErr("future version", append(vnext, body[1:]...), "unsupported checkpoint version")
+	gobV1, err := os.ReadFile("testdata/checkpoint-gob-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectErr("gob checkpoint of the previous format", gobV1, "not a collector checkpoint")
 
-	var vnext bytes.Buffer
-	gob.NewEncoder(&vnext).Encode(&checkpointHeader{Magic: checkpointMagic, Version: CheckpointVersion + 1})
-	expectErr("future version", vnext.Bytes(), "unsupported checkpoint version")
-
-	// Bit-flip corruption inside the dump body.
+	// Bit-flip corruption inside the dump body. A single flipped byte
+	// may survive decoding (it can land in sample payload); only
+	// structural corruption must error. It must never panic, and a
+	// refusal must not half-apply (restoreFresh checks).
 	flipped := append([]byte(nil), ckpt...)
 	flipped[len(flipped)/2] ^= 0xff
-	col := fresh()
-	if _, err := col.RestoreCheckpoint(bytes.NewReader(flipped)); err == nil {
-		// A single flipped byte may survive gob decoding (it can land in
-		// sample payload); only structural corruption must error. But it
-		// must never panic — reaching here at all is the assertion.
+	if _, err := restoreFresh(t, flipped); err == nil {
 		t.Log("bit flip decoded cleanly (landed in payload)")
+	}
+}
+
+// restoreFresh restores data into a fresh collector, failing t if a
+// refused restore left any trace: a topology or a moved DataVersion.
+func restoreFresh(t testing.TB, data []byte) (*Collector, error) {
+	t.Helper()
+	col := New(Config{Clock: simclock.New(), PollPeriod: 2})
+	_, err := col.RestoreCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		if _, terr := col.Topology(); terr == nil {
+			t.Fatalf("collector has a topology after a refused restore (%v)", err)
+		}
+		if v, _ := col.DataVersion(); v != 0 {
+			t.Fatalf("DataVersion moved to %d by a refused restore (%v)", v, err)
+		}
+	}
+	return col, err
+}
+
+// TestRestoreRejectsNonFiniteSamples: an image carrying a NaN or +Inf
+// sample is refused by both readers of the file, and the refused
+// restore leaves the collector unchanged.
+func TestRestoreRejectsNonFiniteSamples(t *testing.T) {
+	_, ckpt := checkpointedRig(t)
+	poison := map[string]func(f *checkpoint){
+		"NaN value": func(f *checkpoint) {
+			for k, ss := range f.image.Channels {
+				ss[len(ss)-1].Value = math.NaN()
+				f.image.Channels[k] = ss
+				return
+			}
+		},
+		"+Inf time": func(f *checkpoint) {
+			for id, ss := range f.image.Loads {
+				ss[len(ss)-1].Time = math.Inf(1)
+				f.image.Loads[id] = ss
+				return
+			}
+		},
+	}
+	for name, mutate := range poison {
+		f, err := readCheckpoint(bytes.NewReader(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(f)
+		bad := f.marshal()
+		if _, err := restoreFresh(t, bad); err == nil {
+			t.Fatalf("%s: RestoreCheckpoint accepted the image", name)
+		} else if !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: error %q does not name the non-finite sample", name, err)
+		}
+		if _, err := LoadHistory(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s: LoadHistory accepted the image", name)
+		}
 	}
 }
 

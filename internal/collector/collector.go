@@ -138,12 +138,15 @@ type Config struct {
 	StaleHalfLife float64
 }
 
+// defaultWindowLen is the sample-window length when none is configured.
+const defaultWindowLen = 512
+
 func (c *Config) fill() {
 	if c.PollPeriod <= 0 {
 		c.PollPeriod = 2.0
 	}
 	if c.WindowLen <= 0 {
-		c.WindowLen = 512
+		c.WindowLen = defaultWindowLen
 	}
 	if c.PerHopLatency <= 0 {
 		c.PerHopLatency = 0.0005

@@ -20,7 +20,7 @@ type rig struct {
 	col *Collector
 }
 
-func newRig(t *testing.T, pollPeriod float64) *rig {
+func newRig(t testing.TB, pollPeriod float64) *rig {
 	t.Helper()
 	clk := simclock.New()
 	n, err := netsim.New(clk, topology.Testbed())

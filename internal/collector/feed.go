@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -14,13 +15,13 @@ import (
 // inherits every backpressure property subscriptions already have.
 //
 // Protocol: the first update on a fresh subscription carries a Full
-// payload (the checkpoint-shaped snapshot of topology, sample windows,
-// capacities, loads, and health). After that, each data-version bump
-// produces a delta payload holding only the samples newer than the
-// per-subscription cursor, plus the topology/capacity maps when a
-// rediscovery moved them and the (small) health map every time. Epochs
-// are the collector's DataVersion, so a replica's applied epoch is
-// directly comparable to its collector's.
+// payload (the state image a checkpoint file also holds: topology,
+// sample windows, capacities, loads, and health). After that, each
+// data-version bump produces a delta payload holding only the samples
+// newer than the per-subscription cursor, plus the topology/capacity
+// maps when a rediscovery moved them and the (small) health map every
+// time. Epochs are the collector's DataVersion, so a replica's applied
+// epoch is directly comparable to its collector's.
 //
 // Coherence is the subscriber's job: a Seq gap, an Overflowed mark, or
 // a failover Resync mark means deltas were lost, and the only honest
@@ -35,9 +36,9 @@ import (
 // FeedSource accept it.
 const WatchFeed = "feed"
 
-// FeedPayload is the replication payload of one WatchFeed update.
-// Its fields mirror checkpointDump, so a feed payload and a checkpoint
-// file describe collector state in the same shapes.
+// FeedPayload is the replication payload of one WatchFeed update. A
+// Full payload is also the collector's one serialized state image: a
+// checkpoint file (checkpoint.go) is that image plus a trailer.
 type FeedPayload struct {
 	// Epoch is the source DataVersion the payload was collected at.
 	Epoch uint64
@@ -77,6 +78,39 @@ type FeedPayload struct {
 	// Health is the full per-agent health map (small; shipped on every
 	// payload).
 	Health map[string]AgentHealth
+}
+
+// SafeWindowLen is WindowLen as a receiver may size windows by:
+// stats.NewWindow panics on a non-positive length and preallocates the
+// ring, so a corrupt length must neither panic nor drive an unbounded
+// allocation. Unset lengths get the collector default.
+func (p *FeedPayload) SafeWindowLen() int {
+	const maxLen = 1 << 16
+	switch {
+	case p.WindowLen <= 0:
+		return defaultWindowLen
+	case p.WindowLen > maxLen:
+		return maxLen
+	}
+	return p.WindowLen
+}
+
+// AddSamples appends shipped samples to w, refusing any non-finite time
+// or value and any sample older than its predecessor. Every reader of a
+// state image or feed delta (checkpoint restore, loaded history,
+// standby, replica) runs its samples through it, so a corrupt file or
+// payload fails the apply instead of poisoning a window.
+func AddSamples(w *stats.Window, samples []stats.Sample) error {
+	for _, s := range samples {
+		if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) ||
+			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+			return fmt.Errorf("collector: non-finite sample (t=%v, v=%v)", s.Time, s.Value)
+		}
+		if err := w.Add(s.Time, s.Value); err != nil {
+			return fmt.Errorf("collector: corrupt samples: %w", err)
+		}
+	}
+	return nil
 }
 
 // Topology decodes the payload's topology (nil when the payload
@@ -121,11 +155,17 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	if c.topo == nil {
 		return nil, fmt.Errorf("collector: topology not discovered yet")
 	}
+	return c.feedSinceLocked(cur), nil
+}
+
+// feedSinceLocked is FeedSince under c.mu on a discovered collector. On
+// a fresh cursor it returns the Full state image.
+func (c *Collector) feedSinceLocked(cur *FeedCursor) *FeedPayload {
 	epoch := c.dataVersion.Load()
 	term, _, _ := c.HAStatus()
 	full := !cur.sentFull || cur.gen != c.stateGen || cur.term != term
 	if !full && epoch == cur.epoch {
-		return nil, nil
+		return nil
 	}
 	p := &FeedPayload{
 		Epoch:      epoch,
@@ -189,5 +229,5 @@ func (c *Collector) FeedSince(cur *FeedCursor) (*FeedPayload, error) {
 	cur.gen = c.stateGen
 	cur.term = term
 	cur.epoch = epoch
-	return p, nil
+	return p
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/graph"
@@ -126,4 +127,66 @@ func FuzzReadMuxFrame(f *testing.F) {
 			checkReencodes(t, &mf)
 		}
 	})
+}
+
+// FuzzRestoreCheckpoint feeds arbitrary bytes to RestoreCheckpoint. A
+// refused file must leave a fresh collector without a topology and at
+// its DataVersion; an accepted one must survive save -> restore -> save
+// byte for byte (apart from the save wall time).
+func FuzzRestoreCheckpoint(f *testing.F) {
+	_, ckpt := checkpointedRig(f)
+	f.Add(ckpt)
+	for _, frac := range []float64{0.25, 0.5, 0.9} {
+		f.Add(ckpt[:int(float64(len(ckpt))*frac)])
+	}
+	flipped := append([]byte(nil), ckpt...)
+	flipped[len(flipped)/2] ^= 0xff
+	f.Add(flipped)
+	gobV1, err := os.ReadFile("testdata/checkpoint-gob-v1.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobV1)
+	f.Add(append([]byte(checkpointMagic), wireVersion+1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		col, err := restoreFresh(t, data)
+		if err != nil {
+			return
+		}
+		first := saveBytes(t, col)
+		col2, err := restoreFresh(t, first)
+		if err != nil {
+			t.Fatalf("a saved checkpoint does not restore: %v", err)
+		}
+		second := saveBytes(t, col2)
+		if !sameCheckpoint(t, first, second) {
+			t.Fatalf("save -> restore -> save changed the file:\n%x\n%x", first, second)
+		}
+	})
+}
+
+func saveBytes(t *testing.T, col *Collector) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := col.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameCheckpoint reports whether two checkpoint files are identical
+// apart from their save wall times.
+func sameCheckpoint(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	fa, err := readCheckpoint(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := readCheckpoint(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.savedWall = fa.savedWall
+	return bytes.Equal(a, fb.marshal())
 }

@@ -2,7 +2,7 @@ package collector
 
 import (
 	"fmt"
-	"math"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -62,12 +62,13 @@ func advanceVersionTo(dv *atomic.Uint64, v uint64) {
 }
 
 // ApplyFeed installs one replication feed payload into the collector: a
-// standby's live state sync. Full payloads replace the measurement
-// state wholesale (bumping the state generation, exactly like a
-// checkpoint restore, so any downstream feed cursors re-snapshot);
-// deltas extend the existing windows. Counter baselines are not carried
-// by the feed, so a promoted standby's first poll round re-baselines
-// each counter instead of fabricating a rate across the failover.
+// standby's live state sync. Full payloads go through the same install
+// as a checkpoint restore, replacing the measurement state wholesale
+// (and bumping the state generation, so any downstream feed cursors
+// re-snapshot); deltas extend the existing windows. Counter baselines
+// are not carried by the feed, so a promoted standby's first poll round
+// re-baselines each counter instead of fabricating a rate across the
+// failover.
 //
 // Coherence (Seq gaps, term fencing, delta-before-full) is the caller's
 // job — the ha.Node's sync loop enforces the same rules as a read
@@ -77,59 +78,12 @@ func (c *Collector) ApplyFeed(p *FeedPayload) error {
 	if p == nil {
 		return fmt.Errorf("collector: nil feed payload")
 	}
-	if p.Full {
-		return c.applyFeedFull(p)
+	if !p.Full {
+		return c.applyFeedDelta(p)
 	}
-	return c.applyFeedDelta(p)
-}
-
-func (c *Collector) applyFeedFull(p *FeedPayload) error {
-	topo, err := p.Topology()
-	if err != nil {
+	if err := c.install(p, nil); err != nil {
 		return err
 	}
-	if topo == nil {
-		return fmt.Errorf("collector: full feed payload without topology")
-	}
-	// Rebuild windows outside the lock, install at once (the same
-	// discipline as RestoreCheckpoint): a corrupt payload must leave the
-	// collector unchanged.
-	windows := make(map[ChannelKey]*stats.Window, len(p.Channels))
-	for k, samples := range p.Channels {
-		w, err := c.rebuildFeedWindow(samples)
-		if err != nil {
-			return err
-		}
-		windows[k] = w
-	}
-	loads := make(map[graph.NodeID]*stats.Window, len(p.Loads))
-	for id, samples := range p.Loads {
-		w, err := c.rebuildFeedWindow(samples)
-		if err != nil {
-			return err
-		}
-		loads[graph.NodeID(id)] = w
-	}
-	capacity := make(map[ChannelKey]float64, len(p.Capacity))
-	for k, v := range p.Capacity {
-		capacity[k] = v
-	}
-	health := make(map[graph.NodeID]*AgentHealth, len(p.Health))
-	for id, h := range p.Health {
-		hc := h
-		health[graph.NodeID(id)] = &hc
-	}
-	c.mu.Lock()
-	c.topo = topo
-	c.counters = make(map[ChannelKey]counterState)
-	c.windows = windows
-	c.capacity = capacity
-	c.loads = loads
-	c.health = health
-	c.stateGen++
-	c.mu.Unlock()
-	advanceVersionTo(&c.dataVersion, p.Epoch)
-	c.notifyVersion()
 	c.tel.Counter("collector.feed.applied.full").Inc()
 	return nil
 }
@@ -146,11 +100,8 @@ func (c *Collector) applyFeedDelta(p *FeedPayload) error {
 	}
 	if topo != nil {
 		c.topo = topo
-		capacity := make(map[ChannelKey]float64, len(p.Capacity))
-		for k, v := range p.Capacity {
-			capacity[k] = v
-		}
-		c.capacity = capacity
+		c.capacity = make(map[ChannelKey]float64, len(p.Capacity))
+		maps.Copy(c.capacity, p.Capacity)
 	}
 	for k, samples := range p.Channels {
 		w := c.windows[k]
@@ -158,7 +109,7 @@ func (c *Collector) applyFeedDelta(p *FeedPayload) error {
 			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
 			c.windows[k] = w
 		}
-		if err := appendFeedSamples(w, samples); err != nil {
+		if err := AddSamples(w, samples); err != nil {
 			c.mu.Unlock()
 			return err
 		}
@@ -170,46 +121,17 @@ func (c *Collector) applyFeedDelta(p *FeedPayload) error {
 			w = stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
 			c.loads[nid] = w
 		}
-		if err := appendFeedSamples(w, samples); err != nil {
+		if err := AddSamples(w, samples); err != nil {
 			c.mu.Unlock()
 			return err
 		}
 	}
 	if p.Health != nil {
-		health := make(map[graph.NodeID]*AgentHealth, len(p.Health))
-		for id, h := range p.Health {
-			hc := h
-			health[graph.NodeID(id)] = &hc
-		}
-		c.health = health
+		c.health = healthFrom(p.Health)
 	}
 	c.mu.Unlock()
 	advanceVersionTo(&c.dataVersion, p.Epoch)
 	c.notifyVersion()
 	c.tel.Counter("collector.feed.applied.delta").Inc()
-	return nil
-}
-
-// rebuildFeedWindow reconstructs a sample window from shipped samples,
-// sized by the collector's own config (the pair is configured
-// identically). Out-of-order or non-finite samples fail the apply.
-func (c *Collector) rebuildFeedWindow(samples []stats.Sample) (*stats.Window, error) {
-	w := stats.NewWindow(c.cfg.WindowLen, c.cfg.WindowAge)
-	if err := appendFeedSamples(w, samples); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func appendFeedSamples(w *stats.Window, samples []stats.Sample) error {
-	for _, s := range samples {
-		if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) ||
-			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
-			return fmt.Errorf("collector: non-finite sample in feed payload")
-		}
-		if err := w.Add(s.Time, s.Value); err != nil {
-			return fmt.Errorf("collector: corrupt feed payload: %w", err)
-		}
-	}
 	return nil
 }

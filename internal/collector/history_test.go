@@ -2,13 +2,20 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/traffic"
 )
 
+// TestSaveLoadHistoryRoundTrip: a loaded history answers every query
+// exactly like the live collector at the instant of the save, data ages
+// and decayed accuracies included (the replica, the third reader of the
+// same image, is held to the same answers in internal/replica).
 func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 	r := newRig(t, 2)
 	if err := r.col.Start(); err != nil {
@@ -16,10 +23,10 @@ func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 	}
 	traffic.Blast(r.net, "m-6", "m-8", 55e6)
 	r.net.SetHostLoad("m-3", 0.35)
-	r.clk.RunUntil(40)
+	r.clk.RunUntil(41) // off the poll grid: ages are non-zero at the save
 
 	var buf bytes.Buffer
-	if err := r.col.SaveHistory(&buf); err != nil {
+	if err := r.col.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rp, err := LoadHistory(&buf)
@@ -27,7 +34,7 @@ func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Topology survives.
+	// Topology survives, global channel IDs included.
 	topo, err := rp.Topology()
 	if err != nil {
 		t.Fatal(err)
@@ -36,26 +43,46 @@ func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 	if topo.Graph.NumNodes() != live.Graph.NumNodes() || topo.Graph.NumLinks() != live.Graph.NumLinks() {
 		t.Fatal("topology changed in the dump")
 	}
+	if !reflect.DeepEqual(topo.GlobalID, live.GlobalID) {
+		t.Fatal("global channel IDs changed in the dump")
+	}
 
-	// Measurements answer identically.
+	// Every channel and host answers identically.
+	same := func(what string, a, b any, ea, eb error) {
+		t.Helper()
+		if (ea == nil) != (eb == nil) || fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("%s: live %v/%v, loaded %v/%v", what, a, ea, b, eb)
+		}
+	}
+	for _, l := range live.Graph.Links() {
+		for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
+			k := live.Key(l, d)
+			for _, span := range []float64{0, 5, 20} {
+				u1, e1 := r.col.Utilization(k, span)
+				u2, e2 := rp.Utilization(k, span)
+				same(fmt.Sprintf("util(%v,%v)", k, span), u1, u2, e1, e2)
+			}
+			s1, e1 := r.col.Samples(k)
+			s2, e2 := rp.Samples(k)
+			same(fmt.Sprintf("samples(%v)", k), s1, s2, e1, e2)
+			a1, e1 := r.col.DataAge(k)
+			a2, e2 := rp.DataAge(k)
+			same(fmt.Sprintf("age(%v)", k), a1, a2, e1, e2)
+		}
+	}
+	for _, id := range live.Graph.Nodes() {
+		l1, e1 := r.col.HostLoad(id, 20)
+		l2, e2 := rp.HostLoad(id, 20)
+		same(fmt.Sprintf("load(%s)", id), l1, l2, e1, e2)
+	}
+	if !reflect.DeepEqual(r.col.Health(), rp.Health()) {
+		t.Fatal("health map did not round-trip")
+	}
 	k := keyFor(t, live, "timberline", "whiteface")
-	want, _ := r.col.Utilization(k, 20)
-	got, err := rp.Utilization(k, 20)
-	if err != nil {
-		t.Fatal(err)
+	if age, _ := rp.DataAge(k); age != 1 {
+		t.Fatalf("loaded DataAge = %v, want the age at the save (1s)", age)
 	}
-	if math.Abs(got.Median-want.Median) > 1e-9 || got.Samples != want.Samples {
-		t.Fatalf("replayed util %v vs live %v", got, want)
-	}
-	samples, err := rp.Samples(k)
-	if err != nil || len(samples) == 0 {
-		t.Fatalf("samples: %d, %v", len(samples), err)
-	}
-	ld, err := rp.HostLoad("m-3", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ld.Median-0.35) > 1e-9 {
+	if ld, _ := rp.HostLoad("m-3", 20); math.Abs(ld.Median-0.35) > 1e-9 {
 		t.Fatalf("replayed load = %v", ld)
 	}
 
@@ -71,13 +98,13 @@ func TestSaveLoadHistoryRoundTrip(t *testing.T) {
 func TestSaveHistoryBeforeDiscoveryFails(t *testing.T) {
 	r := newRig(t, 2)
 	var buf bytes.Buffer
-	if err := r.col.SaveHistory(&buf); err == nil {
+	if err := r.col.SaveCheckpoint(&buf); err == nil {
 		t.Fatal("saved without a topology")
 	}
 }
 
 func TestLoadHistoryRejectsGarbage(t *testing.T) {
-	if _, err := LoadHistory(strings.NewReader("not gob")); err == nil {
+	if _, err := LoadHistory(strings.NewReader("not a checkpoint")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := LoadHistory(bytes.NewReader(nil)); err == nil {
@@ -85,7 +112,7 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 	}
 }
 
-// A Modeler over a Replay answers availability queries offline.
+// A Modeler over a loaded history answers availability queries offline.
 func TestModelerOverReplay(t *testing.T) {
 	r := newRig(t, 2)
 	if err := r.col.Start(); err != nil {
@@ -94,16 +121,16 @@ func TestModelerOverReplay(t *testing.T) {
 	traffic.Blast(r.net, "m-6", "m-8", 60e6)
 	r.clk.RunUntil(30)
 	var buf bytes.Buffer
-	if err := r.col.SaveHistory(&buf); err != nil {
+	if err := r.col.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rp, err := LoadHistory(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The Replay implements Source; the core package can't be imported
-	// here (cycle-free layering: collector below core), so just check
-	// the Source contract directly.
+	// The loaded collector implements Source; the core package can't be
+	// imported here (cycle-free layering: collector below core), so just
+	// check the Source contract directly.
 	var src Source = rp
 	topo, err := src.Topology()
 	if err != nil {
@@ -116,5 +143,9 @@ func TestModelerOverReplay(t *testing.T) {
 	}
 	if math.Abs(st.Median-60e6) > 1e4 {
 		t.Fatalf("offline utilization = %v", st)
+	}
+	live, _ := r.col.Utilization(k, 20)
+	if st != live {
+		t.Fatalf("offline %+v differs from live %+v at the save instant", st, live)
 	}
 }

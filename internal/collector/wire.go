@@ -1,11 +1,13 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -80,8 +82,13 @@ type wireMsg interface {
 	decodeWire(r *wireReader)
 }
 
-// wireWriter appends encoded values to b.
-type wireWriter struct{ b []byte }
+// wireWriter appends encoded values to b. A canonical writer sorts map
+// pairs by their encoded bytes, so equal values always encode to equal
+// bytes (checkpoint files); frames skip the sort and keep iteration order.
+type wireWriter struct {
+	b         []byte
+	canonical bool
+}
 
 func (w *wireWriter) u8(v byte)        { w.b = append(w.b, v) }
 func (w *wireWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -231,13 +238,25 @@ func readSlice[T any](r *wireReader, minSize int, dec func(*wireReader) T) []T {
 	return s
 }
 
-// writeMap and readMap encode a map as its count and key/value pairs in
-// iteration order; minSize is the smallest encoding of one pair.
+// writeMap and readMap encode a map as its count and key/value pairs;
+// minSize is the smallest encoding of one pair.
 func writeMap[K comparable, V any](w *wireWriter, m map[K]V, key func(*wireWriter, K), val func(*wireWriter, V)) {
 	w.uvarint(uint64(len(m)))
+	start := len(w.b)
+	var pairs [][]byte
 	for k, v := range m {
+		from := len(w.b)
 		key(w, k)
 		val(w, v)
+		if w.canonical {
+			// Later appends never rewrite these bytes, not even
+			// when they move w.b to a larger array.
+			pairs = append(pairs, w.b[from:])
+		}
+	}
+	if len(pairs) > 1 {
+		slices.SortFunc(pairs, bytes.Compare)
+		copy(w.b[start:], bytes.Join(pairs, nil))
 	}
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -224,5 +226,58 @@ func TestSnapshotEpochGauge(t *testing.T) {
 	}
 	if got := reg.Counter("modeler.topo_fetches").Value(); got != 2 {
 		t.Fatalf("topo_fetches = %d, want 2", got)
+	}
+}
+
+// TestQuerySpanAndCacheAge pins the query-path telemetry: each query
+// commits one span (balanced in the started/finished ledger) and one
+// latency observation, a failed query's span carries the error, memo
+// counts land once the query returns, and the topology cache age is
+// computed when read.
+func TestQuerySpanAndCacheAge(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := newRig(t, topology.Testbed(), func(c *Config) { c.Telemetry = reg })
+	r.clk.RunUntil(30)
+
+	if got := reg.Snapshot().Gauges["modeler.topo_cache_age_s"]; got != 0 {
+		t.Fatalf("cache age before any fetch = %v, want 0", got)
+	}
+	if _, err := r.mod.GetGraph(nil, TFHistory(10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.mod.GetGraph([]graph.NodeID{"no-such-host"}, TFHistory(10)); err == nil {
+		t.Fatal("query for an unknown node succeeded")
+	}
+
+	var ok, failed int
+	for _, rec := range reg.Spans() {
+		if rec.Name != "query.getgraph" || rec.Trace == "" || rec.Start.IsZero() || rec.Duration <= 0 {
+			t.Errorf("malformed query span: %+v", rec)
+			continue
+		}
+		if msg := rec.Attrs["error"]; msg != "" {
+			if !strings.Contains(msg, "no-such-host") {
+				t.Errorf("error attr = %q, want the query's error", msg)
+			}
+			failed++
+		} else {
+			ok++
+		}
+	}
+	if ok != 1 || failed != 1 {
+		t.Fatalf("query spans: %d ok, %d failed; want 1 and 1", ok, failed)
+	}
+	if started, finished := reg.SpanCounts(); started != 2 || finished != 2 {
+		t.Errorf("span ledger %d/%d, want 2/2", started, finished)
+	}
+	if got := reg.Quantile("modeler.getgraph_ms", 0).Count(); got != 2 {
+		t.Errorf("getgraph_ms observations = %d, want 2", got)
+	}
+	if reg.Counter("modeler.avail_memo_misses").Value() == 0 {
+		t.Error("first query's memo misses not published")
+	}
+	age := reg.Snapshot().Gauges["modeler.topo_cache_age_s"]
+	if age <= 0 || age > 60 {
+		t.Errorf("cache age after a fetch = %v s, want a small positive age", age)
 	}
 }

@@ -155,7 +155,6 @@ type Modeler struct {
 	// hit each) stay off the per-query path. All methods are nil-safe
 	// no-ops when telemetry is off.
 	gEpoch     *telemetry.Gauge
-	gCacheAge  *telemetry.Gauge
 	cFetches   *telemetry.Counter
 	cMemoHits  *telemetry.Counter
 	cMemoMiss  *telemetry.Counter
@@ -189,7 +188,14 @@ func New(cfg Config) *Modeler {
 		}
 	}
 	m.gEpoch = m.tel.Gauge("modeler.snapshot_epoch")
-	m.gCacheAge = m.tel.Gauge("modeler.topo_cache_age_s")
+	// The cache age is read when a snapshot of the registry is taken,
+	// keeping a clock read off every query.
+	m.tel.GaugeFunc("modeler.topo_cache_age_s", func() float64 {
+		if s := m.snap.Load(); s != nil {
+			return time.Since(s.fetched).Seconds()
+		}
+		return 0
+	})
 	m.cFetches = m.tel.Counter("modeler.topo_fetches")
 	m.cMemoHits = m.tel.Counter("modeler.avail_memo_hits")
 	m.cMemoMiss = m.tel.Counter("modeler.avail_memo_misses")
@@ -215,9 +221,6 @@ func (m *Modeler) Refresh() { m.snap.Store(nil) }
 // thundering herd after Refresh does one discovery, not N.
 func (m *Modeler) snapshot(ctx context.Context) (*snapshot, error) {
 	if s := m.snap.Load(); s != nil {
-		if m.tel != nil {
-			m.gCacheAge.Set(time.Since(s.fetched).Seconds())
-		}
 		return s, nil
 	}
 	m.buildMu.Lock()
@@ -237,7 +240,6 @@ func (m *Modeler) snapshot(ctx context.Context) (*snapshot, error) {
 	m.snap.Store(s)
 	m.cFetches.Inc()
 	m.gEpoch.Set(float64(s.epoch))
-	m.gCacheAge.Set(0)
 	return s, nil
 }
 
@@ -268,20 +270,39 @@ func (m *Modeler) memoVersion() (uint64, bool) {
 // startQuery is the shared telemetry prologue of the public query entry
 // points (§4's remos_get_graph and remos_flow_info): it guarantees ctx
 // carries a trace ID — minting one if the caller supplied none — and
-// opens a span named for the query. The returned finish records the
-// latency quantile and commits the span; call it exactly once, with the
-// query's final error.
-func (m *Modeler) startQuery(ctx context.Context, span string, q *telemetry.Quantile) (context.Context, func(error)) {
+// opens a span named for the query. Call the returned scope's finish
+// exactly once, with the query's final error.
+func (m *Modeler) startQuery(ctx context.Context, span string, q *telemetry.Quantile) (context.Context, queryScope) {
 	ctx, trace := telemetry.EnsureTrace(ctx)
-	sp := m.tel.StartSpan(trace, span)
-	start := time.Now()
-	return ctx, func(err error) {
-		q.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.Finish()
+	if m.tel == nil {
+		return ctx, queryScope{}
 	}
+	return ctx, queryScope{reg: m.tel, q: q, trace: trace, name: span, start: telemetry.Now()}
+}
+
+// queryScope is one query's open span. It is a value, not a closure or
+// a telemetry.Span, so an instrumented query allocates nothing for it
+// and reads the monotonic clock twice: at the start, and in finish for
+// both the span and the latency quantile.
+type queryScope struct {
+	reg         *telemetry.Registry // nil when telemetry is off
+	q           *telemetry.Quantile
+	trace, name string
+	start       time.Time
+}
+
+// finish commits the query's span, with the error (if any) as an
+// attribute, and feeds its duration to the latency quantile.
+func (s *queryScope) finish(err error) {
+	if s.reg == nil {
+		return
+	}
+	rec := telemetry.SpanRecord{Trace: s.trace, Name: s.name, Start: s.start, Duration: time.Since(s.start)}
+	if err != nil {
+		rec.Attrs = map[string]string{"error": err.Error()}
+	}
+	s.reg.RecordSpan(rec)
+	s.q.Observe(float64(rec.Duration) / float64(time.Millisecond))
 }
 
 // RegisterSelfFlow tells the Modeler about a flow the application itself
@@ -404,8 +425,8 @@ func (m *Modeler) AvailableBandwidth(src, dst graph.NodeID, tf Timeframe) (stats
 // deadline rides to the collector with every measurement fetch, and
 // cancellation aborts between (and inside) link lookups.
 func (m *Modeler) AvailableBandwidthCtx(ctx context.Context, src, dst graph.NodeID, tf Timeframe) (_ stats.Stat, retErr error) {
-	ctx, finish := m.startQuery(ctx, "query.bw", m.qBW)
-	defer func() { finish(retErr) }()
+	ctx, qs := m.startQuery(ctx, "query.bw", m.qBW)
+	defer func() { qs.finish(retErr) }()
 	s, err := m.snapshot(ctx)
 	if err != nil {
 		return stats.NoData(), err
@@ -418,6 +439,7 @@ func (m *Modeler) AvailableBandwidthCtx(ctx context.Context, src, dst graph.Node
 		return stats.NoData(), fmt.Errorf("core: no route %s -> %s", src, dst)
 	}
 	v := m.view(s, tf)
+	defer v.flush()
 	out := stats.NoData()
 	for i, l := range p.Links {
 		a, err := v.channelAvailability(ctx, l, l.DirFrom(p.Nodes[i]))

@@ -108,8 +108,8 @@ func (m *Modeler) QueryFlowInfo(fixed, variable, independent []Flow, tf Timefram
 // each fetch carries the caller's deadline. A budget that expires
 // mid-construction aborts with a typed lifecycle error.
 func (m *Modeler) QueryFlowInfoCtx(ctx context.Context, fixed, variable, independent []Flow, tf Timeframe) (_ *FlowInfo, retErr error) {
-	ctx, finish := m.startQuery(ctx, "query.flowinfo", m.qFlowQuery)
-	defer func() { finish(retErr) }()
+	ctx, qs := m.startQuery(ctx, "query.flowinfo", m.qFlowQuery)
+	defer func() { qs.finish(retErr) }()
 	s, err := m.snapshot(ctx)
 	if err != nil {
 		return nil, err
@@ -282,6 +282,7 @@ func newResourceIndex(ctx context.Context, v view) *resourceIndex {
 // release returns the index to the pool, dropping query-scoped state but
 // keeping the map and slice capacity warm.
 func (ri *resourceIndex) release() {
+	ri.v.flush()
 	clear(ri.ids)
 	ri.ctx = nil
 	ri.v = view{}

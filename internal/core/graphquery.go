@@ -133,8 +133,8 @@ func (m *Modeler) GetGraph(nodes []graph.NodeID, tf Timeframe) (*Graph, error) {
 // annotation aborts the query with a typed lifecycle error instead of
 // finishing it with fabricated numbers.
 func (m *Modeler) GetGraphCtx(ctx context.Context, nodes []graph.NodeID, tf Timeframe) (_ *Graph, retErr error) {
-	ctx, finish := m.startQuery(ctx, "query.getgraph", m.qGetGraph)
-	defer func() { finish(retErr) }()
+	ctx, qs := m.startQuery(ctx, "query.getgraph", m.qGetGraph)
+	defer func() { qs.finish(retErr) }()
 	s, err := m.snapshot(ctx)
 	if err != nil {
 		return nil, err
@@ -159,6 +159,7 @@ func (m *Modeler) GetGraphCtx(ctx context.Context, nodes []graph.NodeID, tf Time
 	}
 
 	v := m.view(s, tf)
+	defer v.flush()
 	out := &Graph{
 		Timeframe: tf,
 		Epoch:     s.epoch,

@@ -73,8 +73,8 @@ func (m *Modeler) QueryMatrix(srcs, dsts []graph.NodeID, tf Timeframe) (*MatrixI
 // the "matrix" wire op), the whole batch is one round trip; a source
 // that answers ErrMatrixUnsupported falls back to the local kernel.
 func (m *Modeler) QueryMatrixCtx(ctx context.Context, srcs, dsts []graph.NodeID, tf Timeframe) (_ *MatrixInfo, retErr error) {
-	ctx, finish := m.startQuery(ctx, "query.matrix", m.qMatrix)
-	defer func() { finish(retErr) }()
+	ctx, qs := m.startQuery(ctx, "query.matrix", m.qMatrix)
+	defer func() { qs.finish(retErr) }()
 	if len(srcs) == 0 || len(dsts) == 0 {
 		return nil, fmt.Errorf("core: matrix query needs srcs and dsts")
 	}
@@ -240,6 +240,7 @@ func (m *Modeler) matrixLocal(ctx context.Context, srcs, dsts []graph.NodeID, tf
 		return nil, err
 	}
 	v := m.view(s, tf)
+	defer v.flush()
 
 	n, cols := len(srcs), len(dsts)
 	out := &MatrixInfo{

@@ -137,6 +137,23 @@ type view struct {
 	s  *snapshot
 	tf Timeframe
 	tm *tfMemo // nil: memo disabled (capacity timeframe or unversioned source)
+
+	// hits and misses count memo outcomes for this query alone; flush
+	// publishes them, one atomic add per counter per query rather than
+	// one per channel read.
+	hits, misses uint64
+}
+
+// flush adds the view's memo hit and miss counts to the Modeler's
+// counters. Call it once, when the query is done with the view.
+func (v *view) flush() {
+	if v.hits > 0 {
+		v.m.cMemoHits.Add(v.hits)
+	}
+	if v.misses > 0 {
+		v.m.cMemoMiss.Add(v.misses)
+	}
+	v.hits, v.misses = 0, 0
 }
 
 // view builds the read context for one query. The memo generation is
@@ -179,7 +196,7 @@ func (v *view) channelAvailability(ctx context.Context, l *graph.Link, d graph.D
 	if v.tm != nil {
 		slot = int(l.ID)*2 + int(d)
 		if p := v.tm.avail[slot].Load(); p != nil {
-			v.m.cMemoHits.Inc()
+			v.hits++
 			return *p, nil
 		}
 	}
@@ -188,7 +205,7 @@ func (v *view) channelAvailability(ctx context.Context, l *graph.Link, d graph.D
 		return st, err
 	}
 	if slot >= 0 {
-		v.m.cMemoMiss.Inc()
+		v.misses++
 		cp := st
 		v.tm.avail[slot].Store(&cp)
 	}
@@ -205,7 +222,7 @@ func (v *view) hostLoad(ctx context.Context, id graph.NodeID) (stats.Stat, error
 		if i, ok := v.s.nodeSlot[id]; ok {
 			slot = i
 			if p := v.tm.loads[slot].Load(); p != nil {
-				v.m.cMemoHits.Inc()
+				v.hits++
 				return *p, nil
 			}
 		}
@@ -218,7 +235,7 @@ func (v *view) hostLoad(ctx context.Context, id graph.NodeID) (stats.Stat, error
 		ld = stats.NoData()
 	}
 	if slot >= 0 {
-		v.m.cMemoMiss.Inc()
+		v.misses++
 		cp := ld
 		v.tm.loads[slot].Store(&cp)
 	}

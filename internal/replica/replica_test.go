@@ -1,10 +1,12 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -271,6 +273,93 @@ func TestStoreApplyRejectsIncoherentPayloads(t *testing.T) {
 	}
 	if _, err := st.applyDelta(&bad, wall); err == nil {
 		t.Fatal("applyDelta accepted a NaN sample time")
+	}
+}
+
+// TestOneImageThreeReaders: at the instant of a save, the live
+// collector, the checkpoint file loaded as a history, and a replica fed
+// the same state image as a Full payload give identical answers on
+// every channel and host of the Fig. 3 testbed: topology, statistics
+// (ages and decayed accuracies included), samples, ages, health and
+// epoch.
+func TestOneImageThreeReaders(t *testing.T) {
+	r := newRig(t)
+	r.net.SetHostLoad("m-5", 0.25)
+	r.clk.Advance(21) // off the poll grid: ages are non-zero at the save
+
+	var buf bytes.Buffer
+	if err := r.col.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := collector.LoadHistory(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SaveCheckpoint writes exactly this image: FeedSince on a fresh
+	// cursor, at the same virtual instant.
+	image, err := r.col.FeedSince(&collector.FeedCursor{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := New(Config{MaxStaleness: -1, Seed: 1})
+	wall := time.Unix(1000, 0)
+	rep.now = func() time.Time { return wall } // no wall time passes: no extrapolation
+	if err := rep.apply(image); err != nil {
+		t.Fatal(err)
+	}
+
+	type reader interface {
+		collector.Source
+		collector.HealthSource
+		collector.VersionedSource
+	}
+	readers := []struct {
+		name string
+		src  reader
+	}{{"history", hist}, {"replica", rep}}
+	live, _ := r.col.Topology()
+	same := func(who, what string, a, b any, ea, eb error) {
+		t.Helper()
+		if (ea == nil) != (eb == nil) || fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("%s %s: live %v/%v, %s %v/%v", who, what, a, ea, who, b, eb)
+		}
+	}
+	for _, rd := range readers {
+		topo, err := rd.src.Topology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.Graph.NumNodes() != live.Graph.NumNodes() || topo.Graph.NumLinks() != live.Graph.NumLinks() ||
+			!reflect.DeepEqual(topo.GlobalID, live.GlobalID) {
+			t.Fatalf("%s: topology differs from live", rd.name)
+		}
+		for _, l := range live.Graph.Links() {
+			for _, d := range []graph.Dir{graph.AtoB, graph.BtoA} {
+				k := live.Key(l, d)
+				for _, span := range []float64{0, 5, 20} {
+					u1, e1 := r.col.Utilization(k, span)
+					u2, e2 := rd.src.Utilization(k, span)
+					same(rd.name, fmt.Sprintf("util(%v,%v)", k, span), u1, u2, e1, e2)
+				}
+				s1, e1 := r.col.Samples(k)
+				s2, e2 := rd.src.Samples(k)
+				same(rd.name, fmt.Sprintf("samples(%v)", k), s1, s2, e1, e2)
+				a1, e1 := r.col.DataAge(k)
+				a2, e2 := rd.src.DataAge(k)
+				same(rd.name, fmt.Sprintf("age(%v)", k), a1, a2, e1, e2)
+			}
+		}
+		for _, id := range live.Graph.Nodes() {
+			l1, e1 := r.col.HostLoad(id, 20)
+			l2, e2 := rd.src.HostLoad(id, 20)
+			same(rd.name, fmt.Sprintf("load(%s)", id), l1, l2, e1, e2)
+		}
+		if !reflect.DeepEqual(r.col.Health(), rd.src.Health()) {
+			t.Fatalf("%s: health differs from live", rd.name)
+		}
+		v1, _ := r.col.DataVersion()
+		v2, _ := rd.src.DataVersion()
+		same(rd.name, "epoch", v1, v2, nil, nil)
 	}
 }
 

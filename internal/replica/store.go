@@ -2,7 +2,7 @@ package replica
 
 import (
 	"fmt"
-	"math"
+	"maps"
 	"time"
 
 	"repro/internal/collector"
@@ -69,23 +69,21 @@ func applyFull(p *collector.FeedPayload, wall time.Time) (*store, error) {
 		capacity:    make(map[collector.ChannelKey]float64, len(p.Capacity)),
 		health:      make(map[graph.NodeID]collector.AgentHealth, len(p.Health)),
 		halfLife:    p.HalfLife,
-		windowLen:   windowLen(p),
+		windowLen:   p.SafeWindowLen(),
 		windowAge:   p.WindowAge,
 		feedNow:     p.Now,
 		appliedWall: wall,
 	}
-	for k, v := range p.Capacity {
-		st.capacity[k] = v
-	}
+	maps.Copy(st.capacity, p.Capacity)
 	for k, samples := range p.Channels {
-		w, err := rebuildWindow(st, samples)
+		w, err := extendWindow(st, nil, samples)
 		if err != nil {
 			return nil, err
 		}
 		st.channels[k] = w
 	}
 	for id, samples := range p.Loads {
-		w, err := rebuildWindow(st, samples)
+		w, err := extendWindow(st, nil, samples)
 		if err != nil {
 			return nil, err
 		}
@@ -130,11 +128,8 @@ func (st *store) applyDelta(p *collector.FeedPayload, wall time.Time) (*store, e
 	}
 	if topo != nil {
 		next.topo = topo
-		capacity := make(map[collector.ChannelKey]float64, len(p.Capacity))
-		for k, v := range p.Capacity {
-			capacity[k] = v
-		}
-		next.capacity = capacity
+		next.capacity = make(map[collector.ChannelKey]float64, len(p.Capacity))
+		maps.Copy(next.capacity, p.Capacity)
 	}
 	for k, samples := range p.Channels {
 		w, err := extendWindow(next, next.channels[k], samples)
@@ -160,30 +155,10 @@ func (st *store) applyDelta(p *collector.FeedPayload, wall time.Time) (*store, e
 	return next, nil
 }
 
-// windowLen defends against a malformed payload: stats.NewWindow
-// panics on a non-positive length and preallocates the ring, so a
-// corrupt length must not drive an unbounded allocation.
-func windowLen(p *collector.FeedPayload) int {
-	const maxLen = 1 << 16
-	if p.WindowLen <= 0 {
-		return 512
-	}
-	if p.WindowLen > maxLen {
-		return maxLen
-	}
-	return p.WindowLen
-}
-
-// rebuildWindow reconstructs a sample window from shipped samples,
-// rejecting non-finite values and out-of-order times (a corrupt or
-// adversarial payload must fail the apply, not poison the store).
-func rebuildWindow(st *store, samples []stats.Sample) (*stats.Window, error) {
-	w := stats.NewWindow(st.windowLen, st.windowAge)
-	return addSamples(w, samples)
-}
-
 // extendWindow clones prev (nil = a channel new to this replica) and
-// appends the shipped samples.
+// appends the shipped samples. collector.AddSamples rejects non-finite
+// values and out-of-order times: a corrupt or adversarial payload must
+// fail the apply, not poison the store.
 func extendWindow(st *store, prev *stats.Window, samples []stats.Sample) (*stats.Window, error) {
 	var w *stats.Window
 	if prev == nil {
@@ -191,18 +166,8 @@ func extendWindow(st *store, prev *stats.Window, samples []stats.Sample) (*stats
 	} else {
 		w = prev.Clone()
 	}
-	return addSamples(w, samples)
-}
-
-func addSamples(w *stats.Window, samples []stats.Sample) (*stats.Window, error) {
-	for _, s := range samples {
-		if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) ||
-			math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
-			return nil, fmt.Errorf("replica: non-finite sample in feed payload")
-		}
-		if err := w.Add(s.Time, s.Value); err != nil {
-			return nil, fmt.Errorf("replica: %w", err)
-		}
+	if err := collector.AddSamples(w, samples); err != nil {
+		return nil, fmt.Errorf("replica: %w", err)
 	}
 	return w, nil
 }

@@ -60,8 +60,12 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-written float64 value.
-type Gauge struct{ bits atomic.Uint64 }
+// Gauge is a last-written float64 value, or one computed on read (see
+// Registry.GaugeFunc).
+type Gauge struct {
+	bits atomic.Uint64
+	fn   func() float64 // set at creation; nil for a stored gauge
+}
 
 // Set stores v. No-op on a nil Gauge.
 func (g *Gauge) Set(v float64) {
@@ -70,10 +74,14 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Value returns the last stored value (0 on nil).
+// Value returns the last stored value, or the computed one for a
+// function gauge (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
+	}
+	if g.fn != nil {
+		return g.fn()
 	}
 	return math.Float64frombits(g.bits.Load())
 }
@@ -268,6 +276,20 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// GaugeFunc registers the named gauge as computed by fn whenever it is
+// read, replacing any gauge of that name. It suits a value that would
+// otherwise be re-stored on a hot path only to be read rarely (an age,
+// say). fn must be safe for concurrent use. A nil registry ignores the
+// call.
+func (r *Registry) GaugeFunc(name string, fn func() float64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.gauges[name] = &Gauge{fn: fn}
+	r.mu.Unlock()
+}
+
 // Quantile returns the named quantile ring, creating it with the given
 // window capacity on first use (window <= 0 selects
 // DefaultQuantileWindow; the window of an existing ring is not
@@ -356,8 +378,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Quantiles[k] = v.snapshot()
 	}
 	s.Spans = r.spans.records()
-	s.SpansStarted = r.spansStarted.Load()
-	s.SpansFinished = r.spansFinished.Load()
+	s.SpansStarted, s.SpansFinished = r.SpanCounts()
 	return s
 }
 

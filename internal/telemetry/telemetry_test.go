@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilSafety: a nil registry hands out nil instruments whose every
@@ -171,6 +172,52 @@ func TestSpanFinishIdempotent(t *testing.T) {
 	}
 	if attrs := r.Spans()[0].Attrs; attrs["late"] != "" {
 		t.Errorf("attr set after finish leaked: %v", attrs)
+	}
+}
+
+// TestRecordSpanAndGaugeFunc: a span committed whole by RecordSpan
+// lands in the log and counts as started and finished alongside
+// StartSpan spans; a function gauge is computed at every read; Now
+// tracks time.Now. Both calls are no-ops on a nil registry.
+func TestRecordSpanAndGaugeFunc(t *testing.T) {
+	var nilReg *Registry
+	nilReg.RecordSpan(SpanRecord{Trace: "t", Name: "op"})
+	nilReg.GaugeFunc("g", func() float64 { return 1 })
+
+	r := NewRegistry()
+	r.StartSpan("t1", "open") // never finished
+	r.RecordSpan(SpanRecord{Trace: "t2", Name: "op", Start: Now(), Duration: 3,
+		Attrs: map[string]string{"error": "boom"}})
+	if started, finished := r.SpanCounts(); started != 2 || finished != 1 {
+		t.Errorf("span counts %d/%d, want 2/1", started, finished)
+	}
+	if snap := r.Snapshot(); snap.SpansStarted != 2 || snap.SpansFinished != 1 {
+		t.Errorf("snapshot span counts %d/%d, want 2/1", snap.SpansStarted, snap.SpansFinished)
+	}
+	got := r.SpansFor("t2")
+	if len(got) != 1 || got[0].Name != "op" || got[0].Duration != 3 || got[0].Attrs["error"] != "boom" {
+		t.Errorf("recorded span = %+v", got)
+	}
+
+	calls := 0.0
+	r.Gauge("age").Set(7) // replaced by the function gauge below
+	r.GaugeFunc("age", func() float64 { calls++; return calls })
+	if v := r.Gauge("age").Value(); v != 1 {
+		t.Errorf("function gauge first read = %v, want 1", v)
+	}
+	if v := r.Snapshot().Gauges["age"]; v != 2 {
+		t.Errorf("function gauge in snapshot = %v, want 2 (computed per read)", v)
+	}
+
+	before := time.Now()
+	now := Now()
+	after := time.Now()
+	if now.Before(before) || now.After(after) {
+		t.Errorf("Now() = %v, outside [%v, %v]", now, before, after)
+	}
+	// Round(0) drops the monotonic reading, so this compares wall times.
+	if d := now.Round(0).Sub(before.Round(0)); d < -time.Second || d > time.Second {
+		t.Errorf("Now() wall reading %v off time.Now", d)
 	}
 }
 

@@ -80,6 +80,18 @@ type SpanRecord struct {
 	Attrs    map[string]string
 }
 
+// clockBase anchors Now.
+var clockBase = time.Now()
+
+// Now returns the current time from one monotonic clock read: the wall
+// time at process start plus the monotonic time elapsed since. It costs
+// half of time.Now, which reads the wall and the monotonic clock
+// separately. A wall-clock step after start (an operator or NTP setting
+// the clock) does not show in it; gradual NTP slewing does, since it
+// adjusts the monotonic clock too. Span timestamps are compared with
+// each other, so they take their times from here.
+func Now() time.Time { return clockBase.Add(time.Since(clockBase)) }
+
 // Span is an in-progress span. Obtain one from Registry.StartSpan;
 // Finish is mandatory (and idempotent) — the chaos suite asserts every
 // started span is finished.
@@ -98,7 +110,7 @@ func (r *Registry) StartSpan(trace, name string) *Span {
 		return nil
 	}
 	r.spansStarted.Add(1)
-	return &Span{reg: r, rec: SpanRecord{Trace: trace, Name: name, Start: time.Now()}}
+	return &Span{reg: r, rec: SpanRecord{Trace: trace, Name: name, Start: Now()}}
 }
 
 // SetAttr attaches one key/value detail. No-op on a nil or finished
@@ -134,7 +146,18 @@ func (s *Span) Finish() {
 	rec := s.rec
 	s.mu.Unlock()
 	s.reg.spansFinished.Add(1)
-	s.reg.spans.add(rec)
+	s.reg.spans.add(&rec, false)
+}
+
+// RecordSpan commits a span its caller timed itself, counting it as
+// both started and finished. A hot path that never attaches attributes
+// mid-flight uses it to skip the Span allocation and its lock. No-op
+// on a nil registry.
+func (r *Registry) RecordSpan(rec SpanRecord) {
+	if r == nil {
+		return
+	}
+	r.spans.add(&rec, true)
 }
 
 // Spans returns the retained finished spans, oldest first (nil on a nil
@@ -163,20 +186,27 @@ func (r *Registry) SpanCounts() (started, finished uint64) {
 	if r == nil {
 		return 0, 0
 	}
-	return r.spansStarted.Load(), r.spansFinished.Load()
+	recorded := r.spans.recordedCount()
+	return r.spansStarted.Load() + recorded, r.spansFinished.Load() + recorded
 }
 
 // spanLog is a bounded ring of finished spans.
 type spanLog struct {
-	mu    sync.Mutex
-	limit int
-	buf   []SpanRecord
-	next  int
-	full  bool
+	mu       sync.Mutex
+	limit    int
+	buf      []SpanRecord
+	next     int
+	full     bool
+	recorded uint64 // spans committed by RecordSpan: started and finished at once
 }
 
-func (l *spanLog) add(rec SpanRecord) {
+// add commits rec; recorded marks a RecordSpan span, which the lifecycle
+// counts include without atomics of their own.
+func (l *spanLog) add(rec *SpanRecord, recorded bool) {
 	l.mu.Lock()
+	if recorded {
+		l.recorded++
+	}
 	if l.buf == nil {
 		limit := l.limit
 		if limit <= 0 {
@@ -184,13 +214,19 @@ func (l *spanLog) add(rec SpanRecord) {
 		}
 		l.buf = make([]SpanRecord, limit)
 	}
-	l.buf[l.next] = rec
+	l.buf[l.next] = *rec
 	l.next++
 	if l.next == len(l.buf) {
 		l.next = 0
 		l.full = true
 	}
 	l.mu.Unlock()
+}
+
+func (l *spanLog) recordedCount() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.recorded
 }
 
 func (l *spanLog) records() []SpanRecord {

@@ -449,11 +449,18 @@ func ServeSource(src Source, addr string) (string, func() error, error) {
 // "multiple cooperating Collectors").
 func MergeSources(sources ...Source) Source { return collector.Merge(sources...) }
 
-// LoadHistorySource reads a measurement dump written by
-// Testbed.SaveHistory (or a collector daemon) and returns it as an
-// offline Source: a Modeler over it answers queries about the recorded
-// network without any live collector.
-func LoadHistorySource(r io.Reader) (Source, error) { return collector.LoadHistory(r) }
+// LoadHistorySource reads a checkpoint written by
+// Testbed.SaveCheckpoint (or a collector daemon's -checkpoint or
+// -history file) and returns it as an offline Source: a Modeler over it
+// answers queries about the recorded network exactly as the live
+// collector did at the save, without any live collector.
+func LoadHistorySource(r io.Reader) (Source, error) {
+	col, err := collector.LoadHistory(r)
+	if err != nil {
+		return nil, err
+	}
+	return col, nil
+}
 
 // SelectNodes runs the paper's §7.2 greedy clustering on live Remos
 // measurements: choose k well-connected hosts from pool, starting from
@@ -553,10 +560,6 @@ func (t *Testbed) Now() float64 { return float64(t.Clock.Now()) }
 // Hosts returns the testbed's compute nodes.
 func (t *Testbed) Hosts() []NodeID { return t.Network.Graph().ComputeNodes() }
 
-// SaveHistory writes the testbed collector's topology and measurement
-// history to w for later offline analysis via LoadHistorySource.
-func (t *Testbed) SaveHistory(w io.Writer) error { return t.Collector.SaveHistory(w) }
-
 // ServeCollector exposes the testbed's collector on a TCP address
 // (e.g. "127.0.0.1:0") for out-of-process Modelers; returns the bound
 // address and a shutdown function.
@@ -627,5 +630,6 @@ func (t *Testbed) ServeReplicas(n int) ([]*CollectorReplica, error) {
 
 // SaveCheckpoint writes the testbed collector's full state (topology,
 // windows, counters, health, poll statistics) for warm-restart via
-// Collector.RestoreCheckpoint.
+// Collector.RestoreCheckpoint, or for offline analysis via
+// LoadHistorySource.
 func (t *Testbed) SaveCheckpoint(w io.Writer) error { return t.Collector.SaveCheckpoint(w) }

@@ -193,12 +193,15 @@ func TestHistorySaveLoadViaFacade(t *testing.T) {
 	tb.StartBlast("m-6", "m-8", 45e6)
 	tb.Run(30)
 	var buf bytes.Buffer
-	if err := tb.SaveHistory(&buf); err != nil {
+	if err := tb.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	src, err := remos.LoadHistorySource(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bad, err := remos.LoadHistorySource(bytes.NewReader([]byte("junk"))); err == nil || bad != nil {
+		t.Fatalf("junk history: source %v, error %v (want nil source and an error)", bad, err)
 	}
 	mod := remos.NewModeler(remos.Config{Source: src})
 	st, err := mod.AvailableBandwidth("m-4", "m-7", remos.TFHistory(20))

@@ -22,6 +22,9 @@ go vet ./...
 echo "==> go test ./..."
 go test -timeout 120s ./...
 
+echo "==> perfbench module: vet + tests (root ./... skips the nested module)"
+(cd perfbench && go vet ./... && go test -timeout 120s ./...)
+
 echo "==> go test -count=2 ./internal/collector"
 go test -timeout 120s -count=2 ./internal/collector
 
@@ -57,6 +60,7 @@ go test -fuzz=FuzzDecode -fuzztime=10s -run '^$' ./internal/snmp
 go test -fuzz='^FuzzReadFrame$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzReadMuxFrame -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzDecodeMatrixRequest -fuzztime=10s -run '^$' ./internal/collector
+go test -fuzz='^FuzzRestoreCheckpoint$' -fuzztime=10s -run '^$' ./internal/collector
 go test -fuzz=FuzzDecodeDelta -fuzztime=10s -run '^$' ./internal/replica
 
 echo "verify: OK"

@@ -1,8 +1,9 @@
 // Telemetry is sold as cheap enough to leave on: this file holds the
 // gate. The test compares the same query on the same environment with
-// telemetry enabled and disabled (min-of-N interleaved trials, so a
-// one-off scheduler stall cannot decide the verdict) and fails if the
-// instrumented path costs more than 5% extra. The benchmark pair feeds
+// telemetry enabled and disabled. It fails if the instrumented path
+// allocates more than once extra per query (exact), or costs more than
+// 5% extra time (min-of-N interleaved trials, so a one-off scheduler
+// stall cannot decide the verdict). The benchmark pair feeds
 // scripts/bench.sh so BENCH_remos.json records both sides.
 package repro_test
 
@@ -38,6 +39,25 @@ func TestTelemetryOverheadWithinFivePercent(t *testing.T) {
 
 	plain := core.New(core.Config{Source: e.Col})
 	instr := core.New(core.Config{Source: e.Col, Telemetry: telemetry.NewRegistry()})
+
+	// The exact half of the gate: instrumentation may cost at most one
+	// allocation per query. Allocation counts do not move with machine
+	// load, so this check fails on a stray per-query allocation (a
+	// fmt.Sprintf span attribute, say) that the timing check below
+	// cannot resolve.
+	allocs := func(m *core.Modeler) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := m.GetGraph(nil, core.TFHistory(10)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plainAllocs, instrAllocs := allocs(plain), allocs(instr)
+	t.Logf("telemetry overhead: %.0f allocs/query plain, %.0f instrumented", plainAllocs, instrAllocs)
+	if instrAllocs > plainAllocs+1 && !raceEnabled {
+		t.Errorf("instrumented query path allocates %.0f/query, uninstrumented %.0f (budget +1)",
+			instrAllocs, plainAllocs)
+	}
 
 	ratio := func(trials int) (float64, time.Duration, time.Duration) {
 		// Warm both paths (topology cache, allocator) before timing.
